@@ -31,14 +31,12 @@ from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.base import TrainConfig, TrainingSystem, activation_bytes
+from repro.core.base import TrainConfig, TrainingSystem
 from repro.core.sampling_io import frontier_pages, page_access_with_retry
-from repro.core.stats import EpochStats, StageBreakdown
 from repro.errors import OutOfMemoryError
 from repro.faults import alloc_with_retry
 from repro.graph.datasets import DiskDataset
 from repro.machine import DEFAULT_SCALE, GB, Machine
-from repro.models.train import train_step
 from repro.sampling import NeighborSampler
 from repro.sampling.subgraph import SampledSubgraph
 
@@ -297,25 +295,7 @@ class Ginex(TrainingSystem):
             yield from m.io_wait(ev)
         self.stat_feature_misses += len(misses)
         self.stat_feature_hits += sub.num_sampled_nodes - len(misses)
-
-        gpu = m.gpus[0]
-        feat_bytes = int(sub.num_sampled_nodes
-                         * self.dataset.features.record_nbytes)
-        act = activation_bytes(sub, self.dims)
-        gpu.allocate(feat_bytes + act, tag="batch")
-        try:
-            yield m.pcie[0].copy_async(feat_bytes)
-            duration = m.gpu_cost.train_step_time(
-                self.model_kind, sub.layer_sizes(), self.dims)
-            yield from m.gpu_task(0, duration)
-        finally:
-            gpu.free(feat_bytes + act, tag="batch")
-        feats = self.dataset.features.gather(sub.all_nodes)
-        loss, correct = train_step(self.model, self.optimizer, feats, sub,
-                                   self.dataset.labels)
-        self._epoch_loss_sum += loss
-        self._epoch_correct += correct
-        self._epoch_seen += len(sub.seeds)
+        yield from self._gpu_train_step(sub)
 
     # ------------------------------------------------------------------
     def _epoch_proc(self, done_event) -> Generator:
@@ -323,7 +303,7 @@ class Ginex(TrainingSystem):
         for seeds_list in self.plan.superbatches(self.config.superbatch_size):
             t0 = m.sim.now
             subs = yield from self._sample_superbatch(seeds_list)
-            self._stage.sample += m.sim.now - t0
+            self._tally.stages.sample += m.sim.now - t0
 
             if self.sample_only:
                 continue
@@ -335,73 +315,26 @@ class Ginex(TrainingSystem):
             # valid executions.
             alloc, (initial, miss_lists, _) = yield from self._inspect(subs)
             yield from self._init_cache(initial)
-            self._stage.extract += m.sim.now - t0
+            self._tally.stages.extract += m.sim.now - t0
 
             for sub, misses in zip(subs, miss_lists):
                 t0 = m.sim.now
                 # sim-race: ordered -- epoch procs never co-run (each is
                 # awaited to completion before the next spawns).
                 yield from self._train_batch(sub, misses)
-                self._stage.train += m.sim.now - t0
+                self._tally.stages.train += m.sim.now - t0
             m.host.free(alloc)
         done_event.succeed(m.sim.now)
 
-    def run_epochs(self, num_epochs: int,
-                   target_accuracy: Optional[float] = None,
-                   time_budget: Optional[float] = None,
-                   eval_every: int = 0) -> List[EpochStats]:
-        m = self.machine
-        sim = m.sim
-        for epoch in range(len(self.epoch_stats),
-                           len(self.epoch_stats) + num_epochs):
-            self._stage = StageBreakdown()
-            self._epoch_loss_sum = 0.0
-            self._epoch_correct = 0
-            self._epoch_seen = 0
-            m.sanitize_epoch_begin()
-            t_start = sim.now
-            bytes0 = m.ssd.bytes_read
-            feat0 = m.ssd.read_bytes_for(self.dataset.feat_handle.name)
-            hits0, miss0 = m.page_cache.hits, m.page_cache.misses
-            f0 = m.fault_counters()
-            done = sim.event()
-            proc = sim.process(self._epoch_proc(done), name="ginex-epoch")
+    def _start_epoch(self, epoch: int):
+        self._tally.batches = self.plan.num_batches
+        done = self.machine.sim.event()
+        proc = self.machine.sim.process(self._epoch_proc(done),
+                                        name="ginex-epoch")
+        return [done], [proc]
 
-            def _audit_proc():
-                self.check_time_budget(time_budget)
-                if not proc.is_alive and not proc.ok:
-                    raise proc._value
-
-            sim.run_until_triggered(done, each_event=_audit_proc)
-            m.sanitize_epoch_end()
-
-            num_batches = self.plan.num_batches
-            stats = EpochStats(
-                epoch=epoch,
-                epoch_time=sim.now - t_start,
-                stages=self._stage.snapshot(),
-                loss=(self._epoch_loss_sum / max(1, num_batches)
-                      if not self.sample_only else float("nan")),
-                train_acc=self._epoch_correct / max(1, self._epoch_seen),
-                num_batches=num_batches,
-                bytes_read=m.ssd.bytes_read - bytes0,
-                cache_hits=m.page_cache.hits - hits0,
-                cache_misses=m.page_cache.misses - miss0,
-                reused_nodes=self.stat_feature_hits,
-                loaded_nodes=self.stat_feature_misses,
-                faults=m.fault_counters_delta(f0),
-            )
-            stats.extra["feat_bytes_read"] = (
-                m.ssd.read_bytes_for(self.dataset.feat_handle.name) - feat0)
-            if eval_every and (epoch + 1) % eval_every == 0 \
-                    and not self.sample_only:
-                stats.val_acc = self.evaluate()
-            self.epoch_stats.append(stats)
-            if (target_accuracy is not None
-                    and not np.isnan(stats.val_acc)
-                    and stats.val_acc >= target_accuracy):
-                break
-        return self.epoch_stats
-
-    def shutdown(self) -> None:  # symmetry with the other systems
-        pass
+    def _epoch_counters(self) -> Dict[str, int]:
+        counters = super()._epoch_counters()
+        counters["reused_nodes"] = self.stat_feature_hits
+        counters["loaded_nodes"] = self.stat_feature_misses
+        return counters

@@ -25,13 +25,12 @@ from typing import Generator, List, Optional
 
 import numpy as np
 
-from repro.core.base import TrainConfig, TrainingSystem, activation_bytes
-from repro.core.stats import EpochStats, StageBreakdown
+from repro.core.base import TrainConfig, TrainingSystem
+from repro.core.stats import EpochStats
 from repro.errors import OutOfMemoryError
 from repro.graph.datasets import DiskDataset
 from repro.graph.partition import buffer_order, partition_nodes
 from repro.machine import Machine
-from repro.models.train import train_step
 from repro.sampling import NeighborSampler
 from repro.sampling.subgraph import SampledSubgraph
 
@@ -192,7 +191,7 @@ class MariusGNN(TrainingSystem):
             # In-memory sampling: CPU cost only, no page faults.
             yield from m.cpu_task(m.cpu_cost.sample_compute_time(
                 sum(len(f) for f in sub.hop_frontiers), sub.total_edges()))
-            self._stage.sample += m.sim.now - t0
+            self._tally.stages.sample += m.sim.now - t0
 
             # Extraction is a memcpy from the in-memory buffer.  Sampled
             # nodes in non-resident partitions get NO features — Marius
@@ -201,34 +200,15 @@ class MariusGNN(TrainingSystem):
             nonresident_mask = ~resident[self.part[sub.all_nodes]]
 
             t0 = m.sim.now
-            gpu = m.gpus[0]
-            feat_bytes = int(sub.num_sampled_nodes
-                             * self.dataset.features.record_nbytes)
-            act = activation_bytes(sub, self.dims)
-            gpu.allocate(feat_bytes + act, tag="batch")
-            try:
-                yield m.pcie[0].copy_async(feat_bytes)
-                duration = m.gpu_cost.train_step_time(
-                    self.model_kind, sub.layer_sizes(), self.dims)
-                yield from m.gpu_task(0, duration)
-            finally:
-                gpu.free(feat_bytes + act, tag="batch")
-            feats = self.dataset.features.gather(sub.all_nodes)
-            feats[nonresident_mask] = 0.0  # not in the buffer: no data
-            loss, correct = train_step(self.model, self.optimizer, feats,
-                                       sub, self.dataset.labels)
-            self._epoch_loss_sum += loss
-            self._epoch_correct += correct
-            self._epoch_seen += len(sub.seeds)
-            self._num_batches += 1
-            self._stage.train += m.sim.now - t0
+            yield from self._gpu_train_step(sub, zero_rows=nonresident_mask)
+            self._tally.batches += 1
+            self._tally.stages.train += m.sim.now - t0
 
     def _epoch_proc(self, epoch: int, done_event) -> Generator:
         m = self.machine
         t0 = m.sim.now
         yield from self._data_preparation()
-        self._stage.data_prep += m.sim.now - t0
-        self._prep_time = self._stage.data_prep
+        self._tally.stages.data_prep += m.sim.now - t0
 
         # Fresh per-epoch trainable pools (each partition trained once).
         self._trainable_seeds = [s.copy() for s in self._seeds_by_part]
@@ -237,7 +217,7 @@ class MariusGNN(TrainingSystem):
             if prev_state:
                 t0 = m.sim.now
                 yield from self._swap_partitions(prev_state, state)
-                self._stage.extract += m.sim.now - t0
+                self._tally.stages.extract += m.sim.now - t0
             # else: the initial buffer was loaded during data preparation.
             # sim-race: ordered -- epoch procs never co-run (each is
             # awaited to completion before the next spawns).
@@ -246,58 +226,13 @@ class MariusGNN(TrainingSystem):
         done_event.succeed(m.sim.now)
 
     # ------------------------------------------------------------------
-    def run_epochs(self, num_epochs: int,
-                   target_accuracy: Optional[float] = None,
-                   time_budget: Optional[float] = None,
-                   eval_every: int = 0) -> List[EpochStats]:
-        m = self.machine
-        sim = m.sim
-        for epoch in range(len(self.epoch_stats),
-                           len(self.epoch_stats) + num_epochs):
-            self._stage = StageBreakdown()
-            self._epoch_loss_sum = 0.0
-            self._epoch_correct = 0
-            self._epoch_seen = 0
-            self._num_batches = 0
-            m.sanitize_epoch_begin()
-            t_start = sim.now
-            bytes0 = m.ssd.bytes_read
-            feat0 = m.ssd.read_bytes_for(self.dataset.feat_handle.name)
-            f0 = m.fault_counters()
-            done = sim.event()
-            proc = sim.process(self._epoch_proc(epoch, done), name="marius")
+    def _start_epoch(self, epoch: int):
+        done = self.machine.sim.event()
+        proc = self.machine.sim.process(self._epoch_proc(epoch, done),
+                                        name="marius")
+        return [done], [proc]
 
-            def _audit_proc():
-                self.check_time_budget(time_budget)
-                if not proc.is_alive and not proc.ok:
-                    raise proc._value
-
-            sim.run_until_triggered(done, each_event=_audit_proc)
-            m.sanitize_epoch_end()
-
-            stats = EpochStats(
-                epoch=epoch,
-                epoch_time=sim.now - t_start,
-                stages=self._stage.snapshot(),
-                loss=self._epoch_loss_sum / max(1, self._num_batches),
-                train_acc=self._epoch_correct / max(1, self._epoch_seen),
-                num_batches=self._num_batches,
-                bytes_read=m.ssd.bytes_read - bytes0,
-                faults=m.fault_counters_delta(f0),
-            )
-            stats.extra["feat_bytes_read"] = (
-                m.ssd.read_bytes_for(self.dataset.feat_handle.name) - feat0)
-            stats.extra["data_prep_time"] = self._stage.data_prep
-            stats.extra["training_time"] = (stats.epoch_time
-                                            - self._stage.data_prep)
-            if eval_every and (epoch + 1) % eval_every == 0:
-                stats.val_acc = self.evaluate()
-            self.epoch_stats.append(stats)
-            if (target_accuracy is not None
-                    and not np.isnan(stats.val_acc)
-                    and stats.val_acc >= target_accuracy):
-                break
-        return self.epoch_stats
-
-    def shutdown(self) -> None:
-        pass
+    def _finish_epoch(self, stats: EpochStats) -> None:
+        stats.extra["data_prep_time"] = stats.stages.data_prep
+        stats.extra["training_time"] = (stats.epoch_time
+                                        - stats.stages.data_prep)

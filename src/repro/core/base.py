@@ -1,11 +1,13 @@
 """Shared base for every training system (GNNDrive and the baselines).
 
 A *training system* owns a mounted dataset on a simulated machine, a
-real NumPy model/optimizer, and a mini-batch plan; subclasses implement
-``run_epochs`` with their own scheduling architecture.  Because all
-systems share the same model math and sampler semantics, performance
-differences come only from their runtime designs — the comparison the
-paper makes.
+real NumPy model/optimizer, and a mini-batch plan.  One epoch template,
+:meth:`TrainingSystem.run_epochs`, does the bookkeeping for every
+system; subclasses only start each epoch's work with their own
+scheduling architecture (:meth:`TrainingSystem._start_epoch`).  Because
+all systems share the same model math, sampler semantics and epoch
+accounting, performance differences come only from their runtime
+designs — the comparison the paper makes.
 
 Scaling note: the paper trains with batch 1000 and fanouts (10, 10, 10)
 on billion-edge graphs.  Mini datasets are ~1/1000 scale, so the default
@@ -18,24 +20,28 @@ fraction of a 1000x smaller graph).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Optional, Tuple
+from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.stats import EpochStats
-from repro.errors import OutOfTimeError
+from repro.core.stats import EpochStats, EpochTally
+from repro.errors import ConfigError, OutOfTimeError
 from repro.graph.datasets import DiskDataset
 from repro.machine import Machine
 from repro.models import Adam, make_model
 from repro.models.costmodel import ComputeCostModel
-from repro.models.train import accuracy
+from repro.models.train import accuracy, train_step
 from repro.sampling import MinibatchPlan, NeighborSampler
 from repro.sampling.subgraph import SampledSubgraph
-from repro.simcore import RandomStreams
+from repro.simcore import Event, Process, RandomStreams
 
 FLOAT_BYTES = 4
 #: Parameter + Adam first/second moment buffers.
 OPTIMIZER_STATE_FACTOR = 3
+#: Counter names that :meth:`TrainingSystem.run_epochs` reports as
+#: :class:`EpochStats` fields; every other counter lands in ``extra``.
+COUNTER_FIELDS = frozenset({"bytes_read", "cache_hits", "cache_misses",
+                            "reused_nodes", "loaded_nodes"})
 
 
 def scaled_default_fanouts(kind: str) -> Tuple[int, ...]:
@@ -112,9 +118,12 @@ def activation_bytes(subgraph: SampledSubgraph, dims) -> int:
 
 
 class TrainingSystem:
-    """Abstract base; see :meth:`run_epochs`."""
+    """Abstract base; subclasses implement :meth:`_start_epoch`."""
 
     name = "base"
+    #: Fig. 2's "-only" mode: each epoch runs just the sample stage, so
+    #: the epoch reports a NaN loss and skips validation.
+    sample_only = False
 
     def __init__(self, machine: Machine, dataset: DiskDataset,
                  train_cfg: TrainConfig):
@@ -145,6 +154,7 @@ class TrainingSystem:
             train_cfg.model_kind, dataset.dim, train_cfg.hidden_dim,
             dataset.num_classes, train_cfg.num_layers)
         self.epoch_stats: List[EpochStats] = []
+        self._tally = EpochTally()
         #: Every system keeps the CSC index-pointer array resident (§5).
         self._indptr_alloc = machine.host.allocate(
             dataset.indptr_nbytes(), tag="indptr")
@@ -166,22 +176,141 @@ class TrainingSystem:
                         self.dataset.features.features, nodes,
                         self.dataset.labels, batch_size=256)
 
-    def check_time_budget(self, budget: Optional[float]) -> None:
-        if budget is not None and self.machine.sim.now > budget:
-            raise OutOfTimeError(budget)
-
     # ------------------------------------------------------------------
+    # Epoch template
+    # ------------------------------------------------------------------
+    def _start_epoch(self, epoch: int
+                     ) -> Tuple[Sequence[Event], Sequence[Process]]:
+        """Start epoch *epoch*'s work on the simulator.
+
+        Returns the done events :meth:`run_epochs` steps the simulator
+        until (in order) and the processes whose failure aborts the
+        epoch.  The work accumulates into ``self._tally``; the hook sets
+        ``self._tally.batches`` unless the work counts its own batches.
+        """
+        raise NotImplementedError
+
+    def _epoch_counters(self) -> Dict[str, int]:
+        """Cumulative counters; each epoch reports their movement.
+
+        Names in :data:`COUNTER_FIELDS` fill the :class:`EpochStats`
+        field of that name, every other name an ``extra`` entry.
+        """
+        m = self.machine
+        return {
+            "bytes_read": m.ssd.bytes_read,
+            "cache_hits": m.page_cache.hits,
+            "cache_misses": m.page_cache.misses,
+            "feat_bytes_read": m.ssd.read_bytes_for(
+                self.dataset.feat_handle.name),
+        }
+
+    def _epoch_tally(self) -> EpochTally:
+        """The finished epoch's totals (data parallelism sums workers)."""
+        return self._tally
+
+    def _finish_epoch(self, stats: EpochStats) -> None:
+        """Add system-specific fields to *stats* before validation."""
+
     def run_epochs(self, num_epochs: int,
                    target_accuracy: Optional[float] = None,
                    time_budget: Optional[float] = None,
                    eval_every: int = 0) -> List[EpochStats]:
         """Train for *num_epochs* (or until *target_accuracy*).
 
-        Returns one :class:`EpochStats` per completed epoch.  Raises
+        Validates every *eval_every* epochs (0: never).  Returns every
+        :class:`EpochStats` recorded so far, one per completed epoch;
+        epoch numbers continue across calls.  Raises
         :class:`OutOfTimeError` when *time_budget* (simulated seconds)
         is exceeded and :class:`OutOfMemoryError` on budget violations.
         """
-        raise NotImplementedError
+        if eval_every < 0:
+            raise ConfigError(f"eval_every must be >= 0, got {eval_every}")
+        if target_accuracy is not None and not eval_every:
+            raise ConfigError("target_accuracy needs eval_every >= 1: "
+                              "without validation the stop never fires")
+        m = self.machine
+        sim = m.sim
+        first = len(self.epoch_stats)
+        for epoch in range(first, first + num_epochs):
+            self._tally = EpochTally()
+            m.sanitize_epoch_begin()
+            t_start = sim.now
+            counters0 = self._epoch_counters()
+            faults0 = m.fault_counters()
+            dones, procs = self._start_epoch(epoch)
+
+            def audit() -> None:
+                if time_budget is not None and sim.now > time_budget:
+                    raise OutOfTimeError(time_budget)
+                for p in procs:
+                    if not p.is_alive and not p.ok:
+                        raise p._value  # propagate OOM etc.
+
+            for done in dones:
+                sim.run_until_triggered(done, each_event=audit)
+            m.sanitize_epoch_end()
+
+            tally = self._epoch_tally()
+            stats = EpochStats(
+                epoch=epoch,
+                epoch_time=sim.now - t_start,
+                stages=tally.stages.snapshot(),
+                loss=(float("nan") if self.sample_only
+                      else tally.loss_sum / max(1, tally.batches)),
+                train_acc=tally.correct / max(1, tally.seen),
+                num_batches=tally.batches,
+                faults=m.fault_counters_delta(faults0),
+            )
+            for key, value in self._epoch_counters().items():
+                if key in COUNTER_FIELDS:
+                    setattr(stats, key, value - counters0[key])
+                else:
+                    stats.extra[key] = value - counters0[key]
+            self._finish_epoch(stats)
+            if (eval_every and (epoch + 1) % eval_every == 0
+                    and not self.sample_only):
+                stats.val_acc = self.evaluate()
+            self.epoch_stats.append(stats)
+            if (target_accuracy is not None
+                    and not np.isnan(stats.val_acc)
+                    and stats.val_acc >= target_accuracy):
+                break
+        return self.epoch_stats
+
+    def _gpu_train_step(self, sub: SampledSubgraph,
+                        act_overhead: float = 1.0,
+                        zero_rows: Optional[np.ndarray] = None
+                        ) -> Generator:
+        """One synchronous training step on GPU 0.
+
+        Holds the batch's features plus activations (times
+        *act_overhead*) on the device for a blocking PCIe copy and the
+        step itself, then runs the real math on the gathered features —
+        zero where *zero_rows* is set — into the epoch tally.
+        """
+        m = self.machine
+        gpu = m.gpus[0]
+        feat_bytes = int(sub.num_sampled_nodes
+                         * self.dataset.features.record_nbytes)
+        act = int(activation_bytes(sub, self.dims) * act_overhead)
+        gpu.allocate(feat_bytes + act, tag="batch")
+        try:
+            yield m.pcie[0].copy_async(feat_bytes)
+            duration = m.gpu_cost.train_step_time(
+                self.model_kind, sub.layer_sizes(), self.dims)
+            yield from m.gpu_task(0, duration)
+        finally:
+            gpu.free(feat_bytes + act, tag="batch")
+        feats = self.dataset.features.gather(sub.all_nodes)
+        if zero_rows is not None:
+            feats[zero_rows] = 0.0
+        loss, correct = train_step(self.model, self.optimizer, feats, sub,
+                                   self.dataset.labels)
+        self._tally.add_batch(loss, correct, len(sub.seeds))
+
+    def shutdown(self) -> None:
+        """Stop background actors (none by default)."""
 
     def teardown(self) -> None:
         """Release host/device allocations (override to add more)."""

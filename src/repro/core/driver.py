@@ -26,7 +26,7 @@ Sizing rules from the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, List, Optional
+from typing import Dict, Generator, List
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from repro.core.config import GNNDriveConfig
 from repro.core.feature_buffer import FeatureBuffer
 from repro.core.sampling_io import topo_access_with_retry
 from repro.core.staging import StagingBuffer
-from repro.core.stats import EpochStats, StageBreakdown
+from repro.core.stats import EpochTally
 from repro.errors import OutOfMemoryError
 from repro.faults.recovery import (recover_failed_reads,
                                    reserve_staging_with_backoff)
@@ -44,7 +44,7 @@ from repro.machine import Machine
 from repro.models.train import forward_backward
 from repro.sampling import NeighborSampler
 from repro.sampling.subgraph import SampledSubgraph
-from repro.simcore import AllOf, Store
+from repro.simcore import AllOf, Event, Store
 from repro.storage import AsyncRing
 
 #: Queue sentinel telling an actor pool to drain and exit.
@@ -225,10 +225,6 @@ class GNNDrive(TrainingSystem):
         self._started = False
         self._epoch_expected = {}
         self._epoch_done = {}
-        self._stage = StageBreakdown()
-        self._epoch_loss_sum = 0.0
-        self._epoch_correct = 0
-        self._epoch_seen = 0
 
     # ------------------------------------------------------------------
     def _activation_reserve(self) -> int:
@@ -259,7 +255,7 @@ class GNNDrive(TrainingSystem):
                     self.dataset.graph, frontier)
             yield from m.cpu_task(m.cpu_cost.sample_compute_time(
                 sum(len(f) for f in sub.hop_frontiers), sub.total_edges()))
-            self._stage.sample += m.sim.now - t0
+            self._tally.stages.sample += m.sim.now - t0
             if m.tracer:
                 m.tracer.span(f"batch {batch_id}", "sample",
                               f"sampler{idx}", t0, m.sim.now,
@@ -392,7 +388,7 @@ class GNNDrive(TrainingSystem):
                 yield AllOf(m.sim, [fb.ready_event(v) for v in cls.wait_nodes])
 
             aliases = fb.resolve_aliases(nodes)
-            self._stage.extract += m.sim.now - t0
+            self._tally.stages.extract += m.sim.now - t0
             if m.tracer:
                 m.tracer.span(f"batch {item.batch_id}", "extract",
                               f"extractor{idx}", t0, m.sim.now,
@@ -481,10 +477,8 @@ class GNNDrive(TrainingSystem):
                 yield from self.shared.sync_group.sync(self.worker_id,
                                                        self.model)
             self.optimizer.step()
-            self._epoch_loss_sum += loss
-            self._epoch_correct += correct
-            self._epoch_seen += len(sub.seeds)
-            self._stage.train += m.sim.now - t0
+            self._tally.add_batch(loss, correct, len(sub.seeds))
+            self._tally.stages.train += m.sim.now - t0
             if m.tracer:
                 m.tracer.span(f"batch {item.batch_id}", "train", "trainer",
                               t0, m.sim.now, epoch=item.epoch, loss=loss)
@@ -503,7 +497,7 @@ class GNNDrive(TrainingSystem):
             # batch exactly once; released slot sets are disjoint from
             # every in-flight batch the extractors/trainer touch.
             self.feature_buffer.release(item.subgraph.all_nodes)
-            self._stage.release += m.sim.now - t0
+            self._tally.stages.release += m.sim.now - t0
             if m.tracer:
                 m.tracer.span(f"batch {item.batch_id}", "release",
                               "releaser", t0, m.sim.now, epoch=item.epoch)
@@ -530,69 +524,27 @@ class GNNDrive(TrainingSystem):
                                                 name=f"releaser{i}"))
         self._started = True
 
-    def _check_actors(self) -> None:
-        """Re-raise any actor's unhandled exception (e.g. device OOM)."""
-        for p in self._actors:
-            if not p.is_alive and not p.ok:
-                raise p._value
+    def _queue_epoch(self, epoch: int) -> Event:
+        """Hand epoch *epoch*'s batches to the samplers, with a fresh
+        tally; returns the event the last finished batch triggers."""
+        batches = self.plan.epoch_batches()
+        self._tally = EpochTally(batches=len(batches))
+        self._epoch_expected[epoch] = len(batches)
+        done = self._epoch_done[epoch] = self.machine.sim.event()
+        self.pending_q.put_many(
+            (epoch, batch_id, seeds)
+            for batch_id, seeds in enumerate(batches))
+        return done
 
-    def run_epochs(self, num_epochs: int,
-                   target_accuracy: Optional[float] = None,
-                   time_budget: Optional[float] = None,
-                   eval_every: int = 0) -> List[EpochStats]:
-        m = self.machine
+    def _start_epoch(self, epoch: int):
         self._start_actors()
-        for epoch in range(len(self.epoch_stats),
-                           len(self.epoch_stats) + num_epochs):
-            batches = self.plan.epoch_batches()
-            self._epoch_expected[epoch] = len(batches)
-            done = m.sim.event()
-            self._epoch_done[epoch] = done
-            self._stage = StageBreakdown()
-            self._epoch_loss_sum = 0.0
-            self._epoch_correct = 0
-            self._epoch_seen = 0
-            m.sanitize_epoch_begin()
-            t_start = m.sim.now
-            ssd_bytes0 = m.ssd.bytes_read
-            feat0 = m.ssd.read_bytes_for(self.dataset.feat_handle.name)
-            hits0, miss0 = m.page_cache.hits, m.page_cache.misses
-            reuse0 = self.feature_buffer.stat_reused
-            load0 = self.feature_buffer.stat_loaded
-            f0 = m.fault_counters()
+        return [self._queue_epoch(epoch)], self._actors
 
-            self.pending_q.put_many(
-                (epoch, batch_id, seeds)
-                for batch_id, seeds in enumerate(batches))
-            # Drive the simulation until the trainer finishes the epoch.
-            m.sim.run_until_triggered(done, each_event=lambda: (
-                self.check_time_budget(time_budget), self._check_actors()))
-            m.sanitize_epoch_end()
-
-            stats = EpochStats(
-                epoch=epoch,
-                epoch_time=m.sim.now - t_start,
-                stages=self._stage.snapshot(),
-                loss=self._epoch_loss_sum / max(1, len(batches)),
-                train_acc=self._epoch_correct / max(1, self._epoch_seen),
-                num_batches=len(batches),
-                bytes_read=m.ssd.bytes_read - ssd_bytes0,
-                cache_hits=m.page_cache.hits - hits0,
-                cache_misses=m.page_cache.misses - miss0,
-                reused_nodes=self.feature_buffer.stat_reused - reuse0,
-                loaded_nodes=self.feature_buffer.stat_loaded - load0,
-                faults=m.fault_counters_delta(f0),
-            )
-            stats.extra["feat_bytes_read"] = (
-                m.ssd.read_bytes_for(self.dataset.feat_handle.name) - feat0)
-            if eval_every and (epoch + 1) % eval_every == 0:
-                stats.val_acc = self.evaluate()
-            self.epoch_stats.append(stats)
-            if (target_accuracy is not None
-                    and not np.isnan(stats.val_acc)
-                    and stats.val_acc >= target_accuracy):
-                break
-        return self.epoch_stats
+    def _epoch_counters(self) -> Dict[str, int]:
+        counters = super()._epoch_counters()
+        counters["reused_nodes"] = self.feature_buffer.stat_reused
+        counters["loaded_nodes"] = self.feature_buffer.stat_loaded
+        return counters
 
     def teardown(self) -> None:
         """Release the resident topology.

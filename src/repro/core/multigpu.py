@@ -16,7 +16,7 @@ include — neither do ours.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Generator, List, Optional
+from typing import Dict, Generator, List
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from repro.core.base import TrainConfig, TrainingSystem
 from repro.core.config import GNNDriveConfig
 from repro.core.driver import GNNDrive
 from repro.core.staging import StagingBuffer
-from repro.core.stats import EpochStats, StageBreakdown
+from repro.core.stats import EpochStats, EpochTally
 from repro.graph.datasets import DiskDataset
 from repro.machine import Machine
 from repro.sampling.batching import split_segments
@@ -188,87 +188,31 @@ class MultiGPUGNNDrive(TrainingSystem):
             m.host.free(probe._fb_alloc)
 
     # ------------------------------------------------------------------
-    def run_epochs(self, num_epochs: int,
-                   target_accuracy: Optional[float] = None,
-                   time_budget: Optional[float] = None,
-                   eval_every: int = 0) -> List[EpochStats]:
-        m = self.machine
+    def _start_epoch(self, epoch: int):
+        # Every pool starts before any batch is queued: that scheduling
+        # order is pinned by the golden trace digests.
         for w in self.workers:
             w._start_actors()
-        for epoch in range(len(self.epoch_stats),
-                           len(self.epoch_stats) + num_epochs):
-            m.sanitize_epoch_begin()
-            t_start = m.sim.now
-            f0 = m.fault_counters()
-            bytes0 = m.ssd.bytes_read
-            feat0 = m.ssd.read_bytes_for(self.dataset.feat_handle.name)
-            hits0, miss0 = m.page_cache.hits, m.page_cache.misses
-            reuse0 = sum(w.feature_buffer.stat_reused for w in self.workers)
-            load0 = sum(w.feature_buffer.stat_loaded for w in self.workers)
-            dones = []
-            agg = StageBreakdown()
-            total_batches = 0
-            for w in self.workers:
-                batches = w.plan.epoch_batches()
-                total_batches += len(batches)
-                w._epoch_expected[epoch] = len(batches)
-                done = m.sim.event()
-                w._epoch_done[epoch] = done
-                dones.append(done)
-                w._stage = StageBreakdown()
-                w._epoch_loss_sum = 0.0
-                w._epoch_correct = 0
-                w._epoch_seen = 0
-                w.pending_q.put_many(
-                    (epoch, batch_id, seeds)
-                    for batch_id, seeds in enumerate(batches))
+        dones = [w._queue_epoch(epoch) for w in self.workers]
+        return dones, [p for w in self.workers for p in w._actors]
 
-            def _audit_workers():
-                self.check_time_budget(time_budget)
-                for w in self.workers:
-                    w._check_actors()
+    def _epoch_counters(self) -> Dict[str, int]:
+        counters = super()._epoch_counters()
+        counters["reused_nodes"] = sum(w.feature_buffer.stat_reused
+                                       for w in self.workers)
+        counters["loaded_nodes"] = sum(w.feature_buffer.stat_loaded
+                                       for w in self.workers)
+        return counters
 
-            # Equivalent to `while not all(d.triggered): step()` — a
-            # done event already triggered makes its wait a no-op.
-            for d in dones:
-                m.sim.run_until_triggered(d, each_event=_audit_workers)
-            m.sanitize_epoch_end()
-            for w in self.workers:
-                agg.sample += w._stage.sample
-                agg.extract += w._stage.extract
-                agg.train += w._stage.train
-                agg.release += w._stage.release
-            loss_sum = sum(w._epoch_loss_sum for w in self.workers)
-            correct = sum(w._epoch_correct for w in self.workers)
-            seen = sum(w._epoch_seen for w in self.workers)
-            stats = EpochStats(
-                epoch=epoch,
-                epoch_time=m.sim.now - t_start,
-                stages=agg,
-                loss=loss_sum / max(1, total_batches),
-                train_acc=correct / max(1, seen),
-                num_batches=total_batches,
-                bytes_read=m.ssd.bytes_read - bytes0,
-                cache_hits=m.page_cache.hits - hits0,
-                cache_misses=m.page_cache.misses - miss0,
-                reused_nodes=sum(w.feature_buffer.stat_reused
-                                 for w in self.workers) - reuse0,
-                loaded_nodes=sum(w.feature_buffer.stat_loaded
-                                 for w in self.workers) - load0,
-                faults=m.fault_counters_delta(f0),
-            )
-            stats.extra["feat_bytes_read"] = (
-                m.ssd.read_bytes_for(self.dataset.feat_handle.name) - feat0)
-            # Worker 0's model is representative (all replicas identical).
-            self.model = self.workers[0].model
-            if eval_every and (epoch + 1) % eval_every == 0:
-                stats.val_acc = self.evaluate()
-            self.epoch_stats.append(stats)
-            if (target_accuracy is not None
-                    and not np.isnan(stats.val_acc)
-                    and stats.val_acc >= target_accuracy):
-                break
-        return self.epoch_stats
+    def _epoch_tally(self) -> EpochTally:
+        total = EpochTally()
+        for w in self.workers:
+            total.add(w._tally)
+        return total
+
+    def _finish_epoch(self, stats: EpochStats) -> None:
+        # Worker 0's model is representative (all replicas identical).
+        self.model = self.workers[0].model
 
     def shutdown(self) -> None:
         for w in self.workers:

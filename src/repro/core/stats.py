@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List
 
 
@@ -34,6 +34,31 @@ class StageBreakdown:
         """
         return StageBreakdown(self.sample, self.extract, self.train,
                               self.release, self.data_prep)
+
+
+@dataclass
+class EpochTally:
+    """One epoch's running totals, reset at every epoch start by
+    :meth:`repro.core.base.TrainingSystem.run_epochs`."""
+
+    stages: StageBreakdown = field(default_factory=StageBreakdown)
+    batches: int = 0
+    loss_sum: float = 0.0
+    correct: int = 0
+    seen: int = 0
+
+    def add_batch(self, loss: float, correct: int, seen: int) -> None:
+        self.loss_sum += loss
+        self.correct += correct
+        self.seen += seen
+
+    def add(self, other: "EpochTally") -> None:
+        """Accumulate *other* (data-parallel workers sum into one)."""
+        for f in fields(StageBreakdown):
+            setattr(self.stages, f.name, getattr(self.stages, f.name)
+                    + getattr(other.stages, f.name))
+        self.batches += other.batches
+        self.add_batch(other.loss_sum, other.correct, other.seen)
 
 
 @dataclass

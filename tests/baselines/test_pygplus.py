@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.baselines import PyGPlus, PyGPlusConfig
+from repro.bench.runner import build_system
 from repro.core.base import TrainConfig
 from repro.errors import OutOfMemoryError, OutOfTimeError
 from repro.graph import make_dataset
@@ -36,13 +37,20 @@ def test_feature_faults_go_through_page_cache():
     s.shutdown()
 
 
-def test_sample_only_mode_skips_extract_and_train():
-    m, s = build(sample_only=True)
-    stats = s.run_epochs(1)
+@pytest.mark.parametrize("system", ["gnndrive-gpu", "pyg+", "ginex"])
+def test_sample_only_mode_skips_extract_and_train(system):
+    """One sample-only rule for every system with the Fig. 2 mode: no
+    extract/train stage, NaN loss, and no validation of the untrained
+    model even when asked for."""
+    m = Machine(MachineSpec.paper_scaled(host_gb=32))
+    s = build_system(system, m, make_dataset("tiny", seed=0),
+                     TrainConfig(batch_size=20), sample_only=True)
+    stats = s.run_epochs(1, eval_every=1)
     assert stats[0].stages.extract == 0.0
     assert stats[0].stages.train == 0.0
     assert stats[0].stages.sample > 0.0
     assert np.isnan(stats[0].loss)
+    assert np.isnan(stats[0].val_acc)
     s.shutdown()
 
 
