@@ -122,7 +122,8 @@ class TrainingSystem:
 
     name = "base"
     #: Fig. 2's "-only" mode: each epoch runs just the sample stage, so
-    #: the epoch reports a NaN loss and skips validation.
+    #: the epoch reports a NaN loss and training accuracy and skips
+    #: validation.
     sample_only = False
 
     def __init__(self, machine: Machine, dataset: DiskDataset,
@@ -258,7 +259,8 @@ class TrainingSystem:
                 stages=tally.stages.snapshot(),
                 loss=(float("nan") if self.sample_only
                       else tally.loss_sum / max(1, tally.batches)),
-                train_acc=tally.correct / max(1, tally.seen),
+                train_acc=(float("nan") if self.sample_only
+                           else tally.correct / max(1, tally.seen)),
                 num_batches=tally.batches,
                 faults=m.fault_counters_delta(faults0),
             )

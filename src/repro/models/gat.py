@@ -27,9 +27,9 @@ from repro.tensor import (
     edge_aggregate,
     edge_score,
     elu,
-    gather_rows,
     leaky_relu,
     mul_scalar,
+    prefix_rows,
     segment_softmax,
 )
 
@@ -49,7 +49,7 @@ class GATHead(Module):
 
     def __call__(self, h_src_in: Tensor, layer_adj) -> Tensor:
         h = self.lin(h_src_in)                       # (num_src, out)
-        h_dst = gather_rows(h, np.arange(layer_adj.num_dst))
+        h_dst = prefix_rows(h, layer_adj.num_dst)
         if layer_adj.num_edges == 0:
             return h_dst
         scores = edge_score(h, h_dst, self.att_src, self.att_dst,

@@ -20,7 +20,7 @@ class GCNLayer(Module):
         self.lin = self.add_child("lin", Linear(in_dim, out_dim, rng))
 
     def __call__(self, h_src: Tensor, layer_adj) -> Tensor:
-        return self.lin(spmm(layer_adj.gcn_matrix(), h_src))
+        return self.lin(spmm(layer_adj.operator("gcn"), h_src))
 
 
 class GCN(Module):

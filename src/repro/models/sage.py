@@ -19,7 +19,7 @@ from repro.sampling.subgraph import SampledSubgraph
 from repro.tensor import (
     Tensor,
     add,
-    gather_rows,
+    prefix_rows,
     relu,
     segment_max_aggregate,
     spmm,
@@ -40,15 +40,13 @@ class SAGELayer(Module):
         self.neigh_lin = self.add_child("neigh_lin", Linear(in_dim, out_dim, rng, bias=False))
 
     def __call__(self, h_src: Tensor, layer_adj) -> Tensor:
-        h_self = gather_rows(h_src, np.arange(layer_adj.num_dst))
-        if self.aggr == "mean":
-            agg = spmm(layer_adj.mean_matrix(), h_src)
-        elif self.aggr == "sum":
-            agg = spmm(layer_adj.sum_matrix(), h_src)
-        else:  # max
+        h_self = prefix_rows(h_src, layer_adj.num_dst)
+        if self.aggr == "max":
             agg = segment_max_aggregate(h_src, layer_adj.src_pos,
                                         layer_adj.dst_pos,
                                         layer_adj.num_dst)
+        else:  # mean or sum
+            agg = spmm(layer_adj.operator(self.aggr), h_src)
         return add(self.self_lin(h_self), self.neigh_lin(agg))
 
 

@@ -18,7 +18,15 @@ from repro.sampling.subgraph import LayerAdj, SampledSubgraph
 
 
 class NeighborSampler:
-    """Stateless besides its RNG stream; one instance per sampler thread."""
+    """One instance per sampler thread.
+
+    Besides its RNG stream, a sampler owns a position table: one int64
+    per graph node, ``-1`` except while :meth:`sample` runs, when it
+    maps each node of the growing node set to its position there.  That
+    relabels sampled ids without sorting or searching the set each hop.
+    ``sample`` never yields, so simulated processes cannot interleave
+    inside it, and it restores the table to all ``-1`` on every exit.
+    """
 
     def __init__(self, graph: CSCGraph, fanouts: Sequence[int],
                  rng: np.random.Generator):
@@ -27,6 +35,7 @@ class NeighborSampler:
         self.graph = graph
         self.fanouts = tuple(int(f) for f in fanouts)
         self.rng = rng
+        self._position = np.full(graph.num_nodes, -1, dtype=np.int64)
 
     @property
     def num_hops(self) -> int:
@@ -52,41 +61,48 @@ class NeighborSampler:
         if len(seeds) == 0:
             raise ValueError("empty seed set")
         graph = self.graph
+        if seeds[0] < 0 or seeds[-1] >= graph.num_nodes:
+            raise ValueError("seed ids out of range")
+        position = self._position
 
         node_set = seeds                     # N_0
         layers_rev: List[LayerAdj] = []      # collected outermost-first
         frontiers: List[np.ndarray] = []
 
-        for fanout in self.fanouts:
-            frontiers.append(node_set)
-            starts, ends = graph.neighbor_slices(node_set)
-            degs = ends - starts
-            has_nb = degs > 0
-            n_active = int(has_nb.sum())
+        position[seeds] = np.arange(len(seeds), dtype=np.int64)
+        try:
+            for fanout in self.fanouts:
+                frontiers.append(node_set)
+                starts, ends = graph.neighbor_slices(node_set)
+                degs = ends - starts
+                has_nb = degs > 0
+                n_active = int(has_nb.sum())
 
-            if n_active:
-                active_pos = np.nonzero(has_nb)[0]
-                gather = self._draw(active_pos, starts, ends, fanout)
-                sampled = graph.indices[gather]            # global ids
-                dst_pos = np.repeat(active_pos, fanout)
-                src_global = sampled.reshape(-1)
-            else:
-                dst_pos = np.empty(0, dtype=np.int64)
-                src_global = np.empty(0, dtype=np.int64)
+                if n_active:
+                    active_pos = np.nonzero(has_nb)[0]
+                    gather = self._draw(active_pos, starts, ends, fanout)
+                    sampled = graph.indices[gather]        # global ids
+                    dst_pos = np.repeat(active_pos, fanout)
+                    src_global = sampled.reshape(-1)
+                else:
+                    dst_pos = np.empty(0, dtype=np.int64)
+                    src_global = np.empty(0, dtype=np.int64)
 
-            # Inner node set: outer set first (prefix), then new nodes.
-            new_nodes = np.setdiff1d(src_global, node_set, assume_unique=False)
-            inner = np.concatenate([node_set, new_nodes])
-            # Map sampled global ids to positions in `inner`.
-            order = np.argsort(inner, kind="stable")
-            src_pos = order[np.searchsorted(inner, src_global, sorter=order)]
-            layers_rev.append(LayerAdj(
-                src_pos=src_pos.astype(np.int64),
-                dst_pos=dst_pos.astype(np.int64),
-                num_src=len(inner),
-                num_dst=len(node_set),
-            ))
-            node_set = inner
+                # Inner node set: outer set first (prefix), then the new
+                # nodes in id order, numbered on from the outer set.
+                new_nodes = np.unique(src_global[position[src_global] < 0])
+                num_dst = len(node_set)
+                node_set = np.concatenate([node_set, new_nodes])
+                position[new_nodes] = np.arange(num_dst, len(node_set),
+                                                dtype=np.int64)
+                layers_rev.append(LayerAdj(
+                    src_pos=position[src_global],
+                    dst_pos=dst_pos,
+                    num_src=len(node_set),
+                    num_dst=num_dst,
+                ))
+        finally:
+            position[node_set] = -1
 
         return SampledSubgraph(
             seeds=seeds,

@@ -11,11 +11,15 @@ GNNDrive's samplers enqueue for extraction (§4.1 step 2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Tuple
 
 import numpy as np
-import scipy.sparse as sp
+
+from repro.tensor.sparse import CSROperator
+
+#: (rows, cols, values) of an operator's entries, duplicates allowed.
+_Entries = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 @dataclass
@@ -32,6 +36,8 @@ class LayerAdj:
     dst_pos: np.ndarray
     num_src: int
     num_dst: int
+    _operators: Dict[str, CSROperator] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.src_pos) != len(self.dst_pos):
@@ -48,33 +54,41 @@ class LayerAdj:
     def num_edges(self) -> int:
         return len(self.src_pos)
 
-    def mean_matrix(self) -> sp.csr_matrix:
-        """Row-normalised aggregation operator (num_dst x num_src).
+    def operator(self, kind: str) -> CSROperator:
+        """The (num_dst x num_src) aggregation operator of *kind*.
 
-        Rows with no sampled in-edges are zero (their self path still
-        contributes through the model's self weight).
+        * ``mean`` — row-normalised; rows with no sampled in-edges are
+          zero (their self path still contributes through the model's
+          self weight).
+        * ``sum`` — unnormalised.
+        * ``gcn`` — symmetric-normalised with implicit self-loops, from
+          sampled degrees: weight(u->v) = 1/sqrt((d_v+1)(d_u_out+1)),
+          plus a self-loop of 1/(d_v+1) on the prefix nodes.
+
+        Built on first use and cached, so layers that share a
+        ``LayerAdj`` (full-graph training) share the operator too.
         """
+        op = self._operators.get(kind)
+        if op is None:
+            if kind not in _ENTRIES:
+                raise ValueError(f"operator kind must be one of "
+                                 f"{tuple(_ENTRIES)}, got {kind!r}")
+            rows, cols, vals = _ENTRIES[kind](self)
+            op = CSROperator.from_coo(rows, cols, vals,
+                                      (self.num_dst, self.num_src))
+            self._operators[kind] = op
+        return op
+
+    def _mean_entries(self) -> _Entries:
         deg = np.bincount(self.dst_pos, minlength=self.num_dst).astype(np.float32)
         weights = 1.0 / np.maximum(deg[self.dst_pos], 1.0)
-        return sp.csr_matrix(
-            (weights, (self.dst_pos, self.src_pos)),
-            shape=(self.num_dst, self.num_src),
-        )
+        return self.dst_pos, self.src_pos, weights
 
-    def sum_matrix(self) -> sp.csr_matrix:
-        """Unnormalised aggregation operator (num_dst x num_src)."""
+    def _sum_entries(self) -> _Entries:
         weights = np.ones(len(self.src_pos), dtype=np.float32)
-        return sp.csr_matrix(
-            (weights, (self.dst_pos, self.src_pos)),
-            shape=(self.num_dst, self.num_src),
-        )
+        return self.dst_pos, self.src_pos, weights
 
-    def gcn_matrix(self) -> sp.csr_matrix:
-        """Symmetric-normalised GCN operator with implicit self-loops.
-
-        Uses sampled degrees: weight(u->v) = 1/sqrt((d_v+1)(d_u_out+1)),
-        plus a self-loop of 1/(d_v+1) on the prefix nodes.
-        """
+    def _gcn_entries(self) -> _Entries:
         d_dst = np.bincount(self.dst_pos, minlength=self.num_dst).astype(np.float32)
         d_src_out = np.bincount(self.src_pos, minlength=self.num_src).astype(np.float32)
         w = 1.0 / np.sqrt((d_dst[self.dst_pos] + 1.0)
@@ -84,8 +98,11 @@ class LayerAdj:
         cols = np.concatenate([self.src_pos,
                                np.arange(self.num_dst, dtype=np.int64)])
         vals = np.concatenate([w, 1.0 / (d_dst + 1.0)]).astype(np.float32)
-        return sp.csr_matrix((vals, (rows, cols)),
-                             shape=(self.num_dst, self.num_src))
+        return rows, cols, vals
+
+
+_ENTRIES = {"mean": LayerAdj._mean_entries, "sum": LayerAdj._sum_entries,
+            "gcn": LayerAdj._gcn_entries}
 
 
 @dataclass

@@ -11,12 +11,14 @@ Design notes
 ------------
 * float32 throughout (matching the paper's feature dtype).
 * Graphs are built eagerly; ``backward()`` runs a topological sweep.
-* Sparse adjacency matrices are *constants* of the graph structure; only
-  dense operands carry gradients (all GNN layers have this form).
+* Sparse aggregation operators (:class:`CSROperator`) are *constants*
+  of the graph structure; only dense operands carry gradients (all GNN
+  layers have this form).
 """
 
 from repro.tensor.tensor import Tensor, no_grad, is_grad_enabled
 from repro.tensor import ops
+from repro.tensor.sparse import CSROperator
 from repro.tensor.ops import (
     add,
     matmul,
@@ -24,7 +26,7 @@ from repro.tensor.ops import (
     leaky_relu,
     elu,
     dropout,
-    gather_rows,
+    prefix_rows,
     concat_cols,
     mul_scalar,
     spmm,
@@ -37,9 +39,9 @@ from repro.tensor.ops import (
 )
 
 __all__ = [
-    "Tensor", "no_grad", "is_grad_enabled", "ops",
+    "Tensor", "no_grad", "is_grad_enabled", "ops", "CSROperator",
     "add", "matmul", "relu", "leaky_relu", "elu", "dropout",
-    "gather_rows", "concat_cols", "mul_scalar", "spmm",
+    "prefix_rows", "concat_cols", "mul_scalar", "spmm",
     "log_softmax", "softmax_cross_entropy",
     "edge_score", "segment_softmax", "edge_aggregate",
     "segment_max_aggregate",

@@ -5,7 +5,7 @@ backward closures accumulate into parents via ``accumulate_grad``, so
 shared sub-expressions (e.g. a weight used by every mini-batch layer) sum
 correctly.
 
-Conventions: ``x`` denotes dense activations (n, d); sparse adjacency and
+Conventions: ``x`` denotes dense activations (n, d); sparse operators and
 index arrays are graph *constants* (no gradient); all floats are float32.
 """
 
@@ -14,8 +14,8 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
+from repro.tensor.sparse import CSROperator
 from repro.tensor.tensor import Tensor, as_tensor, is_grad_enabled
 
 
@@ -139,19 +139,25 @@ def dropout(x: Tensor, p: float, rng: Optional[np.random.Generator] = None,
     return _make(x.data * keep, (x,), backward, "dropout")
 
 
-def gather_rows(x: Tensor, idx: np.ndarray) -> Tensor:
-    """Row selection ``x[idx]`` with scatter-add backward."""
+def prefix_rows(x: Tensor, n: int) -> Tensor:
+    """The first *n* rows ``x[:n]`` as a view; backward is a slice write.
+
+    Models read a layer's destination (self) rows this way, since the
+    destination set is a prefix of the source set.
+    """
     x = as_tensor(x)
-    idx = np.asarray(idx, dtype=np.int64)
-    out_data = x.data[idx]
+    n = int(n)
+    if not 0 <= n <= x.data.shape[0]:
+        raise ValueError(f"prefix of {n} rows out of range for "
+                         f"{x.data.shape[0]} rows")
 
     def backward(g: np.ndarray) -> None:
         if x.requires_grad:
             gx = np.zeros_like(x.data)
-            np.add.at(gx, idx, g)
+            gx[:n] = g
             x.accumulate_grad(gx)
 
-    return _make(out_data, (x,), backward, "gather_rows")
+    return _make(x.data[:n], (x,), backward, "prefix_rows")
 
 
 def concat_cols(a: Tensor, b: Tensor) -> Tensor:
@@ -174,23 +180,23 @@ def concat_cols(a: Tensor, b: Tensor) -> Tensor:
 # ----------------------------------------------------------------------
 # Sparse aggregation
 # ----------------------------------------------------------------------
-def spmm(adj: sp.spmatrix, x: Tensor) -> Tensor:
+def spmm(adj: CSROperator, x: Tensor) -> Tensor:
     """Sparse-constant @ dense: neighborhood aggregation.
 
     *adj* (n_dst, n_src) carries the (fixed) aggregation weights — e.g. a
-    row-normalised mean matrix for GraphSAGE or the symmetric-normalised
-    GCN operator.  Gradient flows only through *x*.
+    row-normalised mean operator for GraphSAGE or the symmetric-normalised
+    GCN operator.  Gradient flows only through *x*; the backward pass
+    reuses *adj*'s arrays as Aᵀ and runs only if *x* needs a gradient.
     """
+    if not isinstance(adj, CSROperator):
+        raise TypeError(f"spmm needs a CSROperator, got {type(adj).__name__}")
     x = as_tensor(x)
-    adj_csr = adj.tocsr()
-    out_data = adj_csr @ x.data
-    adj_t = adj_csr.T.tocsr()
 
     def backward(g: np.ndarray) -> None:
         if x.requires_grad:
-            x.accumulate_grad(np.asarray(adj_t @ g))
+            x.accumulate_grad(adj.rmatmul(g))
 
-    return _make(np.asarray(out_data, dtype=np.float32), (x,), backward, "spmm")
+    return _make(adj.matmul(x.data), (x,), backward, "spmm")
 
 
 # ----------------------------------------------------------------------

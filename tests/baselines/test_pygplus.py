@@ -40,8 +40,8 @@ def test_feature_faults_go_through_page_cache():
 @pytest.mark.parametrize("system", ["gnndrive-gpu", "pyg+", "ginex"])
 def test_sample_only_mode_skips_extract_and_train(system):
     """One sample-only rule for every system with the Fig. 2 mode: no
-    extract/train stage, NaN loss, and no validation of the untrained
-    model even when asked for."""
+    extract/train stage, NaN loss and training accuracy, and no
+    validation of the untrained model even when asked for."""
     m = Machine(MachineSpec.paper_scaled(host_gb=32))
     s = build_system(system, m, make_dataset("tiny", seed=0),
                      TrainConfig(batch_size=20), sample_only=True)
@@ -50,6 +50,7 @@ def test_sample_only_mode_skips_extract_and_train(system):
     assert stats[0].stages.train == 0.0
     assert stats[0].stages.sample > 0.0
     assert np.isnan(stats[0].loss)
+    assert np.isnan(stats[0].train_acc)
     assert np.isnan(stats[0].val_acc)
     s.shutdown()
 

@@ -110,21 +110,6 @@ def test_layer_adj_validation():
         LayerAdj(np.empty(0, np.int64), np.empty(0, np.int64), 1, 2)
 
 
-def test_mean_matrix_rows_normalised():
-    adj = LayerAdj(np.array([0, 1, 2, 2]), np.array([0, 0, 0, 1]), 3, 2)
-    m = adj.mean_matrix()
-    assert m.shape == (2, 3)
-    sums = np.asarray(m.sum(axis=1)).ravel()
-    np.testing.assert_allclose(sums, [1.0, 1.0])
-
-
-def test_gcn_matrix_includes_self_loops():
-    adj = LayerAdj(np.array([1]), np.array([0]), 2, 1)
-    m = adj.gcn_matrix().toarray()
-    assert m[0, 0] > 0  # self loop
-    assert m[0, 1] > 0  # sampled edge
-
-
 def test_layer_sizes_and_total_edges():
     ds = make_dataset("tiny", seed=0)
     s = NeighborSampler(ds.graph, (3, 3), np.random.default_rng(0))

@@ -2,9 +2,9 @@
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from repro.tensor import (
+    CSROperator,
     Tensor,
     add,
     concat_cols,
@@ -12,12 +12,12 @@ from repro.tensor import (
     edge_aggregate,
     edge_score,
     elu,
-    gather_rows,
     leaky_relu,
     log_softmax,
     matmul,
     mul_scalar,
     no_grad,
+    prefix_rows,
     relu,
     segment_softmax,
     softmax_cross_entropy,
@@ -88,11 +88,20 @@ def test_mul_scalar_grad():
                {"x": RNG.standard_normal((3, 3))})
 
 
-def test_gather_rows_grad_with_repeats():
+def test_prefix_rows_grad():
     check_grad(
-        lambda p: scalar(gather_rows(p["x"], np.array([0, 2, 2, 1]))),
+        lambda p: scalar(prefix_rows(p["x"], 2)),
         {"x": RNG.standard_normal((4, 3))},
     )
+
+
+def test_prefix_rows_is_a_view_and_checks_range():
+    x = Tensor(RNG.standard_normal((4, 3)).astype(np.float32))
+    y = prefix_rows(x, 3)
+    assert np.shares_memory(y.data, x.data)
+    assert np.array_equal(y.data, x.data[:3])
+    with pytest.raises(ValueError):
+        prefix_rows(x, 5)
 
 
 def test_concat_cols_grad():
@@ -108,11 +117,16 @@ def test_concat_cols_shape_mismatch():
 
 
 def test_spmm_matches_dense_and_grad():
-    adj = sp.random(6, 5, density=0.5, random_state=0, format="csr",
-                    dtype=np.float32)
+    rng = np.random.default_rng(0)
+    mask = rng.random((6, 5)) < 0.5
+    rows, cols = np.nonzero(mask)
+    vals = rng.random(len(rows)).astype(np.float32)
+    adj = CSROperator.from_coo(rows, cols, vals, (6, 5))
+    dense = np.zeros((6, 5), dtype=np.float32)
+    dense[rows, cols] = vals
     x = RNG.standard_normal((5, 3)).astype(np.float32)
     out = spmm(adj, Tensor(x))
-    np.testing.assert_allclose(out.data, adj.toarray() @ x, rtol=1e-5)
+    np.testing.assert_allclose(out.data, dense @ x, rtol=1e-5)
     check_grad(lambda p: scalar(spmm(adj, p["x"])),
                {"x": RNG.standard_normal((5, 3))})
 
